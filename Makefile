@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench peerbench bench-smoke figures verify fmt vet lint lint-fix audit fuzz-smoke cover sim-smoke recovery-smoke peerload load-smoke clean
+.PHONY: all build test test-short race bench peerbench perfbench-test bench-smoke figures verify fmt vet lint lint-fix audit fuzz-smoke cover sim-smoke recovery-smoke peerload load-smoke clean
 
 all: build test
 
@@ -25,6 +25,11 @@ bench:
 # entries); refreshes the committed baseline.
 peerbench:
 	$(GO) run ./cmd/peerbench -out BENCH_9.json
+
+# Tests of the repo benchmark's correctness checks. perfbench/ is a
+# nested module, so the root `go test ./...` never reaches them.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # CI-sized sweep compared against the committed baseline (what the
 # bench-smoke CI job runs at both GOMAXPROCS=1 and GOMAXPROCS=4); fails

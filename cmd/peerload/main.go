@@ -227,8 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // family.
 func annotateServerQuantiles(rep *load.Report, reg *metrics.Registry) {
 	vec := reg.HistogramVec("peerlearn_http_request_duration_seconds",
-		"Request latency in seconds, by route template.",
-		metrics.DefBuckets, "route")
+		"Request latency in seconds, by route template.", "route")
 	for i := range rep.Routes {
 		route, ok := opRoutes[rep.Routes[i].Op]
 		if !ok {

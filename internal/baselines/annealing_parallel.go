@@ -213,8 +213,8 @@ type proposalSchedule struct {
 // the annealer seed.
 func newProposalSchedule(seed int64, k, size int) proposalSchedule {
 	return proposalSchedule{
-		pairSeed: splitmix64(uint64(seed)),
-		drawSeed: splitmix64(uint64(seed) ^ 0x9e3779b97f4a7c15),
+		pairSeed: core.SplitMix64(uint64(seed)),
+		drawSeed: core.SplitMix64(uint64(seed) ^ 0x9e3779b97f4a7c15),
 		k:        k,
 		size:     size,
 	}
@@ -224,7 +224,7 @@ func newProposalSchedule(seed int64, k, size int) proposalSchedule {
 //
 //peerlint:deterministic
 func (ps proposalSchedule) pair(i int) (ga, gb int) {
-	h := splitmix64(ps.pairSeed + uint64(i))
+	h := core.SplitMix64(ps.pairSeed + uint64(i))
 	ga = int(uint64(uint32(h>>32)) * uint64(ps.k) >> 32)
 	gb = int(uint64(uint32(h)) * uint64(ps.k-1) >> 32)
 	if gb >= ga {
@@ -238,19 +238,9 @@ func (ps proposalSchedule) pair(i int) (ga, gb int) {
 //
 //peerlint:deterministic
 func (ps proposalSchedule) draw(i int) (xa, xb int, u float64) {
-	h := splitmix64(ps.drawSeed + uint64(i))
+	h := core.SplitMix64(ps.drawSeed + uint64(i))
 	xa = int(uint64(uint32(h>>32)) * uint64(ps.size) >> 32)
 	xb = int(uint64(uint32(h)) * uint64(ps.size) >> 32)
-	u = float64(splitmix64(h)>>11) * (1.0 / (1 << 53))
+	u = float64(core.SplitMix64(h)>>11) * (1.0 / (1 << 53))
 	return xa, xb, u
-}
-
-// splitmix64 is the standard 64-bit finalizing mixer (Steele, Lea &
-// Flood); successive counters map to well-distributed outputs, which
-// is exactly the indexed-access property the schedule needs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -21,8 +21,8 @@
 // what lets CI gate on a committed baseline the way peerbench does.
 //
 // The pieces: Rand (splitmix64 stream), Zipf (keyspace popularity),
-// Schedule (arrival times), Mix/BuildPlan (op sequence), Hist
-// (HDR-style log-bucketed latency histogram), Run (the dispatcher over
-// a caller-supplied Target), and Report (BENCH_*.json-compatible
+// Schedule (arrival times), Mix/BuildPlan (op sequence), Run (the
+// dispatcher over a caller-supplied Target, recording latencies into
+// log-linear metrics.Histograms), and Report (BENCH_*.json-compatible
 // output with -compare regression and SLO gates).
 package load

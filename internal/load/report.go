@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"peerlearn/internal/metrics"
 )
 
 // Entry is one named latency figure in the BENCH_*.json-compatible
@@ -46,8 +48,16 @@ type RouteReport struct {
 	// histogram — the cross-check that client- and server-side views
 	// agree. Only in-process runs can read the registry directly.
 	ServerP99Ns int64 `json:"server_p99_ns,omitempty"`
-	// Buckets is the non-empty portion of the HDR latency histogram.
-	Buckets []HistBucket `json:"buckets,omitempty"`
+	// Buckets is the non-empty portion of the latency histogram.
+	Buckets []Bucket `json:"buckets,omitempty"`
+}
+
+// Bucket is one non-empty latency histogram bucket of a report.
+type Bucket struct {
+	// LowerNs is the bucket's inclusive lower bound in nanoseconds.
+	LowerNs int64 `json:"lower_ns"`
+	// Count is the number of observations in the bucket.
+	Count uint64 `json:"count"`
 }
 
 // Report is the top-level JSON document cmd/peerload emits (committed
@@ -86,7 +96,7 @@ type Report struct {
 func (rep *Report) Fill(st *Stats) {
 	rep.ElapsedNs = int64(st.Elapsed)
 
-	all := &Hist{}
+	all := &metrics.Histogram{}
 	var allErrors uint64
 	for _, rs := range st.PerOp {
 		all.Merge(rs.Hist)
@@ -103,29 +113,36 @@ func (rep *Report) Fill(st *Stats) {
 	}
 }
 
-// addRoute appends one RouteReport plus its p50/p99 entries.
-func (rep *Report) addRoute(op string, h *Hist, status map[string]uint64, errors uint64) {
+// addRoute appends one RouteReport plus its p50/p99 entries. h holds
+// nanoseconds; its bucket bounds are whole nanoseconds below 2^53 ns,
+// so the report's integer fields lose nothing.
+func (rep *Report) addRoute(op string, h *metrics.Histogram, status map[string]uint64, errors uint64) {
 	count := h.Count()
-	rep.Routes = append(rep.Routes, RouteReport{
-		Op:      op,
-		Count:   count,
-		Errors:  errors,
-		Status:  status,
-		MeanNs:  h.Mean(),
-		MinNs:   h.Min(),
-		P50Ns:   h.Quantile(0.50),
-		P90Ns:   h.Quantile(0.90),
-		P99Ns:   h.Quantile(0.99),
-		P999Ns:  h.Quantile(0.999),
-		MaxNs:   h.Max(),
-		Buckets: h.Buckets(),
-	})
+	rr := RouteReport{
+		Op:     op,
+		Count:  count,
+		Errors: errors,
+		Status: status,
+		MinNs:  int64(h.Min()),
+		P50Ns:  int64(h.Quantile(0.50)),
+		P90Ns:  int64(h.Quantile(0.90)),
+		P99Ns:  int64(h.Quantile(0.99)),
+		P999Ns: int64(h.Quantile(0.999)),
+		MaxNs:  int64(h.Max()),
+	}
+	for _, b := range h.Buckets() {
+		rr.Buckets = append(rr.Buckets, Bucket{LowerNs: int64(b.Lower), Count: b.Count})
+	}
+	if count > 0 {
+		rr.MeanNs = h.Sum() / float64(count)
+	}
+	rep.Routes = append(rep.Routes, rr)
 	if count == 0 {
 		return
 	}
 	rep.Entries = append(rep.Entries,
-		Entry{Name: "load-" + op + "-p50", N: int(count), NsPerOp: float64(h.Quantile(0.50))},
-		Entry{Name: "load-" + op + "-p99", N: int(count), NsPerOp: float64(h.Quantile(0.99))},
+		Entry{Name: "load-" + op + "-p50", N: int(count), NsPerOp: float64(rr.P50Ns)},
+		Entry{Name: "load-" + op + "-p99", N: int(count), NsPerOp: float64(rr.P99Ns)},
 	)
 }
 

@@ -8,13 +8,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"peerlearn/internal/metrics"
 )
 
 func sampleReport() *Report {
 	st := &Stats{PerOp: map[OpKind]*RouteStats{}, Elapsed: 3 * time.Second}
-	rs := &RouteStats{Hist: &Hist{}, status: map[string]uint64{}}
+	rs := &RouteStats{Hist: &metrics.Histogram{}, status: map[string]uint64{}}
 	for v := int64(1); v <= 100; v++ {
-		rs.Hist.Record(v * int64(time.Millisecond))
+		rs.Hist.Observe(float64(v * int64(time.Millisecond)))
 	}
 	rs.status["2xx"] = 100
 	st.PerOp[OpRound] = rs

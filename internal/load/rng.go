@@ -1,5 +1,7 @@
 package load
 
+import "peerlearn/internal/core"
+
 // Rand is a tiny deterministic generator (splitmix64). The load
 // harness cannot lean on the global math/rand source — shared state
 // breaks replayability and the randsource analyzer bans it — and each
@@ -19,11 +21,9 @@ func NewRand(seed uint64) *Rand { return &Rand{state: seed} }
 
 // Uint64 returns the next value of the stream.
 func (r *Rand) Uint64() uint64 {
+	z := core.SplitMix64(r.state)
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

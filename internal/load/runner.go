@@ -3,6 +3,8 @@ package load
 import (
 	"sync"
 	"time"
+
+	"peerlearn/internal/metrics"
 )
 
 // Target executes one workload operation against the system under
@@ -18,9 +20,9 @@ type Target interface {
 // distribution of responded requests, response counts by status class,
 // and transport errors.
 type RouteStats struct {
-	// Hist holds latencies of every request that produced a response,
-	// measured from the intended send time.
-	Hist *Hist
+	// Hist holds latencies in nanoseconds of every request that
+	// produced a response, measured from the intended send time.
+	Hist *metrics.Histogram
 
 	mu sync.Mutex
 	//peerlint:guardedby mu
@@ -37,7 +39,7 @@ func (rs *RouteStats) record(status int, err error, latency time.Duration) {
 		rs.mu.Unlock()
 		return
 	}
-	rs.Hist.Record(int64(latency))
+	rs.Hist.Observe(float64(latency))
 	class := statusClass(status)
 	rs.mu.Lock()
 	rs.status[class]++
@@ -128,7 +130,7 @@ func Run(ops []Op, sched *Schedule, tgt Target, cfg RunConfig) *Stats {
 	st := &Stats{PerOp: make(map[OpKind]*RouteStats)}
 	for _, op := range ops {
 		if st.PerOp[op.Kind] == nil {
-			st.PerOp[op.Kind] = &RouteStats{Hist: &Hist{}, status: make(map[string]uint64)}
+			st.PerOp[op.Kind] = &RouteStats{Hist: &metrics.Histogram{}, status: make(map[string]uint64)}
 		}
 	}
 

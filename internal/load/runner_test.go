@@ -41,13 +41,13 @@ func TestRunNeverCreditsCoordinatedOmission(t *testing.T) {
 	if got := h.Count(); got != 3 {
 		t.Fatalf("Count = %d, want 3", got)
 	}
-	if got := h.Max(); got != int64(50*time.Millisecond) {
+	if got := h.Max(); got != float64(50*time.Millisecond) {
 		t.Errorf("Max = %v, want 50ms (the stalled op)", time.Duration(got))
 	}
-	if got := h.Min(); got != int64(30*time.Millisecond) {
+	if got := h.Min(); got != float64(30*time.Millisecond) {
 		t.Errorf("Min = %v, want 30ms (op 2, still charged from its intended send)", time.Duration(got))
 	}
-	if got := h.Sum(); got != int64(120*time.Millisecond) {
+	if got := h.Sum(); got != float64(120*time.Millisecond) {
 		t.Errorf("Sum = %v, want 120ms = 50+40+30", time.Duration(got))
 	}
 	if got := st.Elapsed; got != 50*time.Millisecond {

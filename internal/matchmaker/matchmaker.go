@@ -42,7 +42,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		SatOut: reg.Counter("peerlearn_matchmaker_participants_sat_out_total",
 			"Participants who sat a round out, summed over rounds."),
 		RoundGain: reg.Histogram("peerlearn_matchmaker_round_gain",
-			"Aggregated learning gain per round.", metrics.GainBuckets),
+			"Aggregated learning gain per round."),
 	}
 }
 

@@ -19,8 +19,9 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 //   - label escaping (backslash, double quote, newline in values) and
 //     help-string escaping,
 //   - series ordering inside a vec (sorted by rendered label key),
-//   - histogram bucket cumulativity, the implicit +Inf bucket, and
-//     _sum/_count series, both plain and labeled,
+//   - histogram bucket cumulativity, the le bounds derived from the
+//     occupied powers of two, the +Inf bucket, and _sum/_count
+//     series, both plain and labeled,
 //   - integer, negative-gauge, and float sample rendering.
 //
 // Any byte-level drift in the exposition — a reordered family, a
@@ -37,8 +38,8 @@ func TestExpositionGolden(t *testing.T) {
 	zlast := r.Counter("z_last_total", "registered first, exposed last")
 	zlast.Add(7)
 
-	h := r.Histogram("app_round_gain", "per-round gain", []float64{0.5, 1, 2.5})
-	for _, v := range []float64{0.25, 0.5, 0.75, 2, 99} { // 99 lands in +Inf
+	h := r.Histogram("app_round_gain", "per-round gain")
+	for _, v := range []float64{0.25, 0.5, 0.75, 2, 99} {
 		h.Observe(v)
 	}
 
@@ -51,7 +52,7 @@ func TestExpositionGolden(t *testing.T) {
 	cv.With(`/path/with\backslash`, `say "hi"`).Inc()
 	cv.With("/multi\nline", "ok").Add(2)
 
-	hv := r.HistogramVec("app_latency_seconds", "latency by route\nwith a second help line", []float64{0.01, 0.1}, "route")
+	hv := r.HistogramVec("app_latency_seconds", "latency by route\nwith a second help line", "route")
 	hv.With("/healthz").Observe(0.005)
 	hv.With("/healthz").Observe(0.05)
 	hv.With("/v1/sessions").Observe(0.2)

@@ -1,5 +1,5 @@
 // Package metrics is a dependency-free metrics registry for the
-// serving layer: atomic counters, gauges, and fixed-bucket histograms
+// serving layer: atomic counters, gauges, and log-linear histograms
 // with Prometheus text exposition (format version 0.0.4), built on the
 // standard library alone so the module stays dependency-free.
 //
@@ -18,6 +18,7 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -81,182 +82,92 @@ func (f *atomicFloat) Add(v float64) {
 
 func (f *atomicFloat) Value() float64 { return math.Float64frombits(f.bits.Load()) }
 
-// Histogram counts observations into fixed buckets. Buckets are
-// cumulative at exposition time, per the Prometheus convention: the
-// series for upper bound u counts observations ≤ u, and an implicit
-// +Inf bucket catches the rest.
-type Histogram struct {
-	uppers []float64
-	counts []atomic.Uint64 // len(uppers)+1; the last is the +Inf bucket
-	sum    atomicFloat
-}
-
-// newHistogram copies and sorts the upper bounds.
-func newHistogram(uppers []float64) *Histogram {
-	u := make([]float64, len(uppers))
-	copy(u, uppers)
-	slices.Sort(u)
-	return &Histogram{uppers: u, counts: make([]atomic.Uint64, len(u)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	// First bucket whose upper bound is ≥ v; NaN falls through to +Inf.
-	i, _ := slices.BinarySearch(h.uppers, v)
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
-// Quantile estimates the q-quantile (q in [0, 1]) from the bucket
-// counts by linear interpolation inside the bucket holding the target
-// rank, the standard Prometheus histogram_quantile estimate. The
-// lowest bucket interpolates from 0; a rank landing in the +Inf bucket
-// returns the largest finite upper bound (the estimate cannot exceed
-// what the buckets resolve). An empty histogram returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 || len(h.uppers) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, u := range h.uppers {
-		n := float64(h.counts[i].Load())
-		if cum+n >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.uppers[i-1]
-			}
-			if n == 0 {
-				return u
-			}
-			return lower + (u-lower)*((rank-cum)/n)
-		}
-		cum += n
-	}
-	return h.uppers[len(h.uppers)-1]
-}
-
-// write renders the cumulative bucket, sum, and count series. extra is
-// the pre-rendered label pairs to merge into every series ("" for a
-// plain histogram).
-func (h *Histogram) write(w io.Writer, name, extra string) error {
-	cum := uint64(0)
-	for i, u := range h.uppers {
-		cum += h.counts[i].Load()
-		if err := writeSample(w, name+"_bucket", mergeLabels(extra, `le="`+formatFloat(u)+`"`), strconv.FormatUint(cum, 10)); err != nil {
-			return err
-		}
-	}
-	cum += h.counts[len(h.uppers)].Load()
-	if err := writeSample(w, name+"_bucket", mergeLabels(extra, `le="+Inf"`), strconv.FormatUint(cum, 10)); err != nil {
-		return err
-	}
-	if err := writeSample(w, name+"_sum", extra, formatFloat(h.Sum())); err != nil {
-		return err
-	}
-	return writeSample(w, name+"_count", extra, strconv.FormatUint(cum, 10))
-}
-
-// DefBuckets are latency buckets in seconds, matching the Prometheus
-// client default.
-var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
-// ExponentialBuckets returns n upper bounds starting at start, each
-// factor times the previous — the standard way to cover a wide latency
-// range with bounded series count. start must be positive and factor
-// greater than 1; n is clamped to at least 1.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
-// GainBuckets cover per-round aggregated learning gains, which scale
-// with roster size rather than wall-clock.
-var GainBuckets = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
-
-// CounterVec is a family of counters distinguished by label values.
-type CounterVec struct {
+// vec is the label-keyed child table behind CounterVec and
+// HistogramVec.
+type vec[M any] struct {
 	mu     sync.Mutex
 	labels []string
-	kids   map[string]*Counter
+	// kids is keyed by lookupKey of the label values, so finding an
+	// existing child renders and allocates nothing.
+	kids map[string]child[M]
 }
+
+// child is one series of a vec: its rendered label pairs and metric.
+type child[M any] struct {
+	labels string
+	m      *M
+}
+
+func newVec[M any](labels []string) vec[M] {
+	return vec[M]{labels: labels, kids: make(map[string]child[M])}
+}
+
+// with returns the child for the given label values (positional,
+// matching the vec's label names), creating it on first use. A
+// value-count mismatch returns a detached metric rather than
+// panicking.
+func (v *vec[M]) with(values []string) *M {
+	if len(values) != len(v.labels) {
+		return new(M)
+	}
+	var buf [128]byte
+	key := lookupKey(buf[:0], values)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if c, ok := v.kids[string(key)]; ok {
+		return c.m
+	}
+	c := child[M]{labels: labelKey(v.labels, values), m: new(M)}
+	v.kids[string(key)] = c
+	return c.m
+}
+
+// sorted returns the children ordered by rendered labels, so
+// exposition is deterministic.
+func (v *vec[M]) sorted() []child[M] {
+	v.mu.Lock()
+	kids := make([]child[M], 0, len(v.kids))
+	for _, c := range v.kids {
+		kids = append(kids, c)
+	}
+	v.mu.Unlock()
+	slices.SortFunc(kids, func(a, b child[M]) int { return strings.Compare(a.labels, b.labels) })
+	return kids
+}
+
+// lookupKey appends an unambiguous encoding of values to b: each value
+// prefixed by its length.
+func lookupKey(b []byte, values []string) []byte {
+	for _, s := range values {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return b
+}
+
+// CounterVec is a family of counters distinguished by label values.
+type CounterVec struct{ vec[Counter] }
 
 // With returns the child counter for the given label values
 // (positional, matching the label names the vec was created with). A
 // value-count mismatch returns a detached counter rather than
-// panicking.
-func (v *CounterVec) With(values ...string) *Counter {
-	if len(values) != len(v.labels) {
-		return &Counter{}
-	}
-	key := labelKey(v.labels, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.kids[key]
-	if !ok {
-		c = &Counter{}
-		v.kids[key] = c
-	}
-	return c
-}
+// panicking. Finding an existing child does not allocate.
+func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
 
 // HistogramVec is a family of histograms distinguished by label values.
-type HistogramVec struct {
-	mu     sync.Mutex
-	labels []string
-	uppers []float64
-	kids   map[string]*Histogram
-}
+type HistogramVec struct{ vec[Histogram] }
 
 // With returns the child histogram for the given label values. A
 // value-count mismatch returns a detached histogram rather than
-// panicking.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if len(values) != len(v.labels) {
-		return newHistogram(v.uppers)
-	}
-	key := labelKey(v.labels, values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.kids[key]
-	if !ok {
-		h = newHistogram(v.uppers)
-		v.kids[key] = h
-	}
-	return h
-}
+// panicking. Finding an existing child does not allocate.
+func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values) }
 
 // labelKey renders label pairs sorted by label name, ready to splice
 // into an exposition line: `a="x",b="y"`.
 func labelKey(labels, values []string) string {
 	pairs := make([]string, len(labels))
 	for i, l := range labels {
-		pairs[i] = l + `="` + escapeLabel(values[i]) + `"`
+		pairs[i] = l + `="` + labelEscaper.Replace(values[i]) + `"`
 	}
 	slices.Sort(pairs)
 	return strings.Join(pairs, ",")
@@ -276,11 +187,12 @@ func mergeLabels(a, b string) string {
 	return strings.Join(pairs, ",")
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper and helpEscaper apply the exposition format's escapes
+// to label values and help strings.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 // formatFloat renders a sample value; infinities use the exposition
 // spelling.
@@ -361,46 +273,35 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it
-// with the given bucket upper bounds if needed (nil means DefBuckets).
-// An existing histogram keeps its original buckets.
-func (r *Registry) Histogram(name, help string, uppers []float64) *Histogram {
-	if uppers == nil {
-		uppers = DefBuckets
-	}
-	self, ok := r.lookup(name, help, "histogram", func() any { return newHistogram(uppers) })
+// if needed.
+func (r *Registry) Histogram(name, help string) *Histogram {
+	self, ok := r.lookup(name, help, "histogram", func() any { return &Histogram{} })
 	if h, isHist := self.(*Histogram); ok && isHist {
 		return h
 	}
-	return newHistogram(uppers)
+	return &Histogram{}
 }
 
 // CounterVec returns the labeled counter family registered under name,
 // creating it if needed. An existing family keeps its original label
 // names.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	self, ok := r.lookup(name, help, "counter", func() any {
-		return &CounterVec{labels: labels, kids: make(map[string]*Counter)}
-	})
+	self, ok := r.lookup(name, help, "counter", func() any { return &CounterVec{newVec[Counter](labels)} })
 	if v, isVec := self.(*CounterVec); ok && isVec {
 		return v
 	}
-	return &CounterVec{labels: labels, kids: make(map[string]*Counter)}
+	return &CounterVec{newVec[Counter](labels)}
 }
 
 // HistogramVec returns the labeled histogram family registered under
-// name, creating it with the given buckets if needed (nil means
-// DefBuckets).
-func (r *Registry) HistogramVec(name, help string, uppers []float64, labels ...string) *HistogramVec {
-	if uppers == nil {
-		uppers = DefBuckets
-	}
-	self, ok := r.lookup(name, help, "histogram", func() any {
-		return &HistogramVec{labels: labels, uppers: uppers, kids: make(map[string]*Histogram)}
-	})
+// name, creating it if needed. An existing family keeps its original
+// label names.
+func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
+	self, ok := r.lookup(name, help, "histogram", func() any { return &HistogramVec{newVec[Histogram](labels)} })
 	if v, isVec := self.(*HistogramVec); ok && isVec {
 		return v
 	}
-	return &HistogramVec{labels: labels, uppers: uppers, kids: make(map[string]*Histogram)}
+	return &HistogramVec{newVec[Histogram](labels)}
 }
 
 // Write renders every registered family in the text exposition
@@ -416,7 +317,7 @@ func (r *Registry) Write(w io.Writer) error {
 	slices.SortFunc(entries, func(a, b *entry) int { return strings.Compare(a.name, b.name) })
 
 	for _, e := range entries {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", e.name, escapeHelp(e.help), e.name, e.typ); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", e.name, helpEscaper.Replace(e.help), e.name, e.typ); err != nil {
 			return err
 		}
 		if err := writeEntry(w, e); err != nil {
@@ -434,31 +335,29 @@ func writeEntry(w io.Writer, e *entry) error {
 	case *Gauge:
 		return writeSample(w, e.name, "", strconv.FormatInt(m.Value(), 10))
 	case *Histogram:
-		return m.write(w, e.name, "")
+		groups, lo, hi := m.snapshot()
+		return writeHistogram(w, e.name, "", &groups, m.Sum(), lo, hi)
 	case *CounterVec:
-		m.mu.Lock()
-		keys := sortedKeys(m.kids)
-		kids := make([]*Counter, len(keys))
-		for i, k := range keys {
-			kids[i] = m.kids[k]
-		}
-		m.mu.Unlock()
-		for i, k := range keys {
-			if err := writeSample(w, e.name, k, strconv.FormatUint(kids[i].Value(), 10)); err != nil {
+		for _, c := range m.sorted() {
+			if err := writeSample(w, e.name, c.labels, strconv.FormatUint(c.m.Value(), 10)); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *HistogramVec:
-		m.mu.Lock()
-		keys := sortedKeys(m.kids)
-		kids := make([]*Histogram, len(keys))
-		for i, k := range keys {
-			kids[i] = m.kids[k]
+		// Every series of the family shares one set of le bounds, the
+		// union of their occupied ranges, so the buckets aggregate
+		// across label values.
+		kids := m.sorted()
+		snaps := make([][histGroups]uint64, len(kids))
+		lo, hi := histGroups, -1
+		for i, c := range kids {
+			var klo, khi int
+			snaps[i], klo, khi = c.m.snapshot()
+			lo, hi = min(lo, klo), max(hi, khi)
 		}
-		m.mu.Unlock()
-		for i, k := range keys {
-			if err := kids[i].write(w, e.name, k); err != nil {
+		for i, c := range kids {
+			if err := writeHistogram(w, e.name, c.labels, &snaps[i], c.m.Sum(), lo, hi); err != nil {
 				return err
 			}
 		}
@@ -466,21 +365,6 @@ func writeEntry(w io.Writer, e *entry) error {
 	default:
 		return fmt.Errorf("metrics: unknown metric type %T for %s", e.self, e.name)
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// escapeHelp escapes a help string per the exposition format.
-func escapeHelp(h string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(h)
 }
 
 // Handler returns an http.Handler serving the exposition text — mount

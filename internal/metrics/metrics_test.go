@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"math"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -57,30 +59,119 @@ func TestGauge(t *testing.T) {
 	}
 }
 
+// TestHistogramBuckets pins the log-linear layout: exact buckets for
+// small integers, 32 steps per power of two above, lower bounds never
+// above the value and within 1/32 of it, and clamping at both ends.
 func TestHistogramBuckets(t *testing.T) {
 	t.Parallel()
+	for _, c := range []struct{ v, lower float64 }{
+		{0, 0},
+		{1, 1},
+		{63, 63},
+		{65, 64},           // step 2 from 64
+		{500, 496},         // step 8 from 256
+		{0.75, 0.75},       // fractions resolve like integers
+		{0.1, 0.099609375}, // 51·2^-9
+		{20e-6, 19.550323486328125e-6},
+		{1e-12, 0}, // below 2^-32: shares the zero bucket
+		{math.MaxFloat64, math.Ldexp(63, 58)},
+		{math.Inf(1), math.Ldexp(63, 58)}, // clamps to the top bucket
+	} {
+		//peerlint:allow floateq — bucket bounds are exact dyadic values, pinned bit for bit
+		if got := bucketLower(bucketOf(c.v)); got != c.lower {
+			t.Errorf("bucketLower(bucketOf(%g)) = %g, want %g", c.v, got, c.lower)
+		}
+	}
+	for i := 1; i < histBuckets; i++ {
+		lo, prev := bucketLower(i), bucketLower(i-1)
+		if lo <= prev {
+			t.Fatalf("bucketLower(%d) = %g not above bucketLower(%d) = %g", i, lo, i-1, prev)
+		}
+		if i > 1 && lo-prev > prev/32 {
+			t.Fatalf("bucket %d width %g exceeds 1/32 of %g", i-1, lo-prev, prev)
+		}
+		if got := bucketOf(lo); got != i {
+			t.Fatalf("bucketOf(bucketLower(%d)) = %d", i, got)
+		}
+	}
+}
+
+// TestHistogramExposition checks the derived le bounds: one per power
+// of two across the occupied range, cumulative, closed by +Inf.
+func TestHistogramExposition(t *testing.T) {
+	t.Parallel()
 	r := NewRegistry()
-	h := r.Histogram("test_hist", "a histogram", []float64{1, 2})
-	for _, v := range []float64{0.5, 1, 1.5, 3} {
+	h := r.Histogram("test_hist", "a histogram")
+	if out := expose(t, r); !strings.Contains(out, "test_hist_bucket{le=\"+Inf\"} 0\ntest_hist_sum 0\ntest_hist_count 0\n") {
+		t.Errorf("empty histogram exposition:\n%s", out)
+	}
+	for _, v := range []float64{0.3, 1, 1.5, 3} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	if h.Count() != 4 || h.Sum() != 5.8 {
+		t.Fatalf("count, sum = %d, %v; want 4, 5.8", h.Count(), h.Sum())
 	}
-	if h.Sum() != 6 {
-		t.Fatalf("sum = %v, want 6", h.Sum())
-	}
-	out := expose(t, r)
-	for _, want := range []string{
-		`test_hist_bucket{le="1"} 2`, // 0.5 and the boundary value 1
-		`test_hist_bucket{le="2"} 3`, // cumulative
+	want := strings.Join([]string{
+		`test_hist_bucket{le="0.5"} 1`,
+		`test_hist_bucket{le="1"} 1`, // buckets are half-open: 1 counts toward 2
+		`test_hist_bucket{le="2"} 3`,
+		`test_hist_bucket{le="4"} 4`,
 		`test_hist_bucket{le="+Inf"} 4`,
-		`test_hist_sum 6`,
+		`test_hist_sum 5.8`,
 		`test_hist_count 4`,
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
+	}, "\n") + "\n"
+	if out := expose(t, r); !strings.Contains(out, want) {
+		t.Errorf("exposition missing\n%s\ngot:\n%s", want, out)
+	}
+
+	// The top power of two also holds clamped values, so only +Inf
+	// bounds it.
+	top := r.Histogram("test_top", "huge values")
+	top.Observe(math.Inf(1))
+	if out := expose(t, r); !strings.Contains(out, "# TYPE test_top histogram\ntest_top_bucket{le=\"+Inf\"} 1\n") {
+		t.Errorf("clamped value exposition:\n%s", out)
+	}
+}
+
+// TestHistogramMinMaxMerge covers the exact extremes, the clamping of
+// negative and NaN values, and Merge.
+func TestHistogramMinMaxMerge(t *testing.T) {
+	t.Parallel()
+	h := &Histogram{}
+	if h.Min() != 0 || h.Max() != 0 {
+		t.Fatalf("empty min/max = %g/%g, want 0/0", h.Min(), h.Max())
+	}
+	h.Observe(2.5)
+	h.Observe(0.125)
+	if h.Min() != 0.125 || h.Max() != 2.5 {
+		t.Errorf("min/max = %g/%g, want 0.125/2.5", h.Min(), h.Max())
+	}
+	for _, v := range []float64{-1, math.NaN(), math.Copysign(0, -1)} {
+		h.Observe(v)
+	}
+	if h.Min() != 0 || h.Count() != 5 || h.Sum() != 2.625 || h.Buckets()[0] != (Bucket{0, 3}) {
+		t.Errorf("negative/NaN/-0 did not record as 0: min %g count %d sum %g buckets %v",
+			h.Min(), h.Count(), h.Sum(), h.Buckets())
+	}
+
+	a, b, both := &Histogram{}, &Histogram{}, &Histogram{}
+	for v := 1.0; v <= 50; v++ {
+		a.Observe(v * 3)
+		both.Observe(v * 3)
+	}
+	for v := 1.0; v <= 80; v++ {
+		b.Observe(v * 0.7)
+		both.Observe(v * 0.7)
+	}
+	a.Merge(b)
+	a.Merge(&Histogram{}) // merging an empty histogram is a no-op
+	//peerlint:allow floateq — min and max are recorded values, merged exactly
+	if a.Count() != both.Count() || a.Min() != both.Min() || a.Max() != both.Max() {
+		t.Errorf("merged count/min/max = %d/%g/%g, want %d/%g/%g",
+			a.Count(), a.Min(), a.Max(), both.Count(), both.Min(), both.Max())
+	}
+	if !slices.Equal(a.Buckets(), both.Buckets()) {
+		t.Errorf("merged buckets differ:\n%v\n%v", a.Buckets(), both.Buckets())
 	}
 }
 
@@ -106,7 +197,7 @@ func TestVecChildrenAndEscaping(t *testing.T) {
 func TestHistogramVecMergesLabels(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	v := r.HistogramVec("test_lat_seconds", "latency", []float64{1}, "route")
+	v := r.HistogramVec("test_lat_seconds", "latency", "route")
 	v.With("/x").Observe(0.5)
 	out := expose(t, r)
 	for _, want := range []string{
@@ -152,7 +243,7 @@ func TestExpositionFormatParses(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "counts").Add(3)
 	r.Gauge("b_gauge", "gauges").Set(7)
-	r.Histogram("c_seconds", "times", nil).Observe(0.02)
+	r.Histogram("c_seconds", "times").Observe(0.02)
 	r.CounterVec("d_total", "labeled", "x").With("y").Inc()
 
 	rec := httptest.NewRecorder()
@@ -178,54 +269,58 @@ func TestExpositionFormatParses(t *testing.T) {
 	}
 }
 
-func TestExponentialBuckets(t *testing.T) {
-	got := ExponentialBuckets(0.001, 10, 4)
-	want := []float64{0.001, 0.01, 0.1, 1}
-	if len(got) != len(want) {
-		t.Fatalf("ExponentialBuckets returned %d bounds, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if diff := got[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("bound %d = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if got := ExponentialBuckets(1, 2, 0); len(got) != 1 {
-		t.Errorf("n=0 returned %d bounds, want clamped to 1", len(got))
-	}
-}
-
+// TestHistogramQuantile pins the conservative lower-bound estimate.
 func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8})
+	t.Parallel()
+	h := &Histogram{}
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram Quantile(0.5) = %g, want 0", got)
 	}
-
-	// 10 observations per bucket: ranks land on interpolable positions.
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5)
-		h.Observe(1.5)
-		h.Observe(3)
-		h.Observe(6)
+	for i := 1; i <= 100; i++ {
+		h.Observe(float64(i) / 1000) // 1 ms … 100 ms, in seconds
 	}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0.25, 1},    // rank 10 = exactly the top of bucket ≤1
-		{0.5, 2},     // rank 20 = top of bucket ≤2
-		{0.125, 0.5}, // rank 5, halfway into [0, 1]
-		{1, 8},       // max resolvable bound
-	}
-	for _, c := range cases {
-		got := h.Quantile(c.q)
-		if diff := got - c.want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
+	for _, c := range []struct{ q, want float64 }{
+		{0, 0.0009765625},   // rank clamps to the first observation, in [2^-10, 2^-10+2^-15)
+		{0.5, 0.0498046875}, // 50 ms, bucket [51·2^-10, 52·2^-10)
+		{0.99, 0.09765625},  // 99 ms, bucket [50·2^-9, 51·2^-9)
+		{1, 0.1},            // exact maximum
+		{-3, 0.0009765625},  // clamped
+		{7, 0.1},            // clamped
+	} {
+		//peerlint:allow floateq — quantiles are bucket bounds or the recorded max, pinned bit for bit
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%g) = %.19g, want %.19g", c.q, got, c.want)
 		}
 	}
+	// The estimate is never above the ranked observation and within
+	// 3.1% of it.
+	for q := 0.005; q < 1; q += 0.01 {
+		truth := float64(max(int(q*100), 1)) / 1000
+		if got := h.Quantile(q); got > truth || got < truth*(1-1.0/32) {
+			t.Errorf("Quantile(%g) = %g, ranked observation %g", q, got, truth)
+		}
+	}
+}
 
-	// A rank in the +Inf bucket is capped at the largest finite bound.
-	h.Observe(100)
-	if got := h.Quantile(1); got != 8 {
-		t.Errorf("Quantile(1) with +Inf mass = %g, want capped at 8", got)
+// TestVecWithAllocs pins the existing-child path of CounterVec.With and
+// HistogramVec.With, and Histogram.Observe, as allocation-free: the
+// middleware takes them on every request.
+func TestVecWithAllocs(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("test_total", "counts", "route", "method", "code")
+	hv := r.HistogramVec("test_seconds", "times", "route")
+	cv.With("/v1/sessions/{id}/round", "POST", "200").Inc()
+	hv.With("/v1/sessions/{id}/round").Observe(0.001)
+	if n := testing.AllocsPerRun(100, func() {
+		cv.With("/v1/sessions/{id}/round", "POST", "200").Inc()
+		hv.With("/v1/sessions/{id}/round").Observe(0.001)
+	}); n != 0 {
+		t.Errorf("With on an existing child allocates %.1f times per call pair", n)
+	}
+	// Values that differ only in where one ends and the next begins
+	// are different series.
+	cv.With("ab", "c", "").Inc()
+	if got := cv.With("a", "bc", "").Value(); got != 0 {
+		t.Errorf(`With("a", "bc", "") shares a series with ("ab", "c", ""): %d`, got)
 	}
 }

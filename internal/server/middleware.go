@@ -21,8 +21,8 @@ import (
 // HTTPMetrics holds the serving-layer instruments the observability
 // middleware records into.
 type HTTPMetrics struct {
-	// Requests counts finished requests by route template, method, and
-	// status code.
+	// Requests counts finished requests by route template, method
+	// (non-standard methods as "other"), and status code.
 	Requests *metrics.CounterVec
 	// Duration is the per-route latency histogram, in seconds.
 	Duration *metrics.HistogramVec
@@ -39,8 +39,7 @@ func NewHTTPMetrics(reg *metrics.Registry) *HTTPMetrics {
 			"Requests served, by route template, method, and status code.",
 			"route", "method", "code"),
 		Duration: reg.HistogramVec("peerlearn_http_request_duration_seconds",
-			"Request latency in seconds, by route template.",
-			metrics.DefBuckets, "route"),
+			"Request latency in seconds, by route template.", "route"),
 		InFlight: reg.Gauge("peerlearn_http_in_flight_requests",
 			"Requests currently being served."),
 		Panics: reg.Counter("peerlearn_http_panics_total",
@@ -199,6 +198,18 @@ func RouteLabel(path string) string {
 	return "other"
 }
 
+// methodLabel bounds the method label the way RouteLabel bounds the
+// route: methods outside the standard set collapse into "other", so a
+// client choosing arbitrary methods cannot grow the label space.
+func methodLabel(method string) string {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+		return method
+	}
+	return "other"
+}
+
 // WithObservability wraps next with the serving middleware stack:
 // request-ID injection (X-Request-Id is honored when the caller sends
 // one, generated otherwise, and always echoed on the response),
@@ -242,7 +253,7 @@ func withObservability(next http.Handler, m *HTTPMetrics, logger *slog.Logger, c
 			}
 			elapsed := clock.Now().Sub(start)
 			status := sw.status()
-			m.Requests.With(route, r.Method, strconv.Itoa(status)).Inc()
+			m.Requests.With(route, methodLabel(r.Method), strconv.Itoa(status)).Inc()
 			m.Duration.With(route).Observe(elapsed.Seconds())
 			logger.Info("request",
 				"request_id", rid, "method", r.Method, "path", r.URL.Path,

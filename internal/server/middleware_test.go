@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"peerlearn/internal/metrics"
 )
@@ -213,5 +214,57 @@ func TestPprofGating(t *testing.T) {
 	off.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
 	if rec2.Code == http.StatusOK {
 		t.Fatalf("pprof off: status %d, want non-200", rec2.Code)
+	}
+}
+
+// TestHealthzP99Resolution checks the duration histogram resolves a
+// microsecond-scale request: with an injected clock that advances
+// 20µs across the request, the registry's /healthz p99 lies within the
+// histogram's 3.1% bucket width below 20µs.
+func TestHealthzP99Resolution(t *testing.T) {
+	reg := metrics.NewRegistry()
+	h := New(NewSessionStore(), Options{
+		Registry: reg,
+		Logger:   discardLogger(),
+		Clock:    &tickClock{t: time.Date(2021, time.April, 19, 0, 0, 0, 0, time.UTC), step: 20 * time.Microsecond},
+	})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("healthz status %d", rec.Code)
+	}
+	const want = 20e-6
+	got := NewHTTPMetrics(reg).Duration.With("/healthz").Quantile(0.99)
+	if got > want || got < want*(1-1.0/32) {
+		t.Errorf("/healthz p99 = %gs, want within 3.1%% below %gs", got, want)
+	}
+}
+
+// TestMethodLabelBounded checks a client choosing arbitrary methods
+// cannot grow the request counter's series: unknown methods collapse
+// into "other", like unknown paths into the "other" route.
+func TestMethodLabelBounded(t *testing.T) {
+	reg := metrics.NewRegistry()
+	h := New(NewSessionStore(), Options{Registry: reg, Logger: discardLogger()})
+	for i := 0; i < 50; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("M"+strconv.Itoa(i), "/healthz", nil))
+	}
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
+
+	var b strings.Builder
+	if err := reg.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	var series []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "peerlearn_http_requests_total{") {
+			series = append(series, line)
+		}
+	}
+	if len(series) != 2 {
+		t.Fatalf("%d request series after 50 distinct methods, want 2:\n%s", len(series), strings.Join(series, "\n"))
+	}
+	if !strings.Contains(b.String(), `method="other",route="/healthz"} 50`) || !strings.Contains(b.String(), `method="GET",route="/healthz"} 1`) {
+		t.Errorf("method labels not collapsed:\n%s", strings.Join(series, "\n"))
 	}
 }
